@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use dsa_core::{Dsa, DsaConfig};
-use dsa_cpu::{CpuConfig, DynCommitHook, NullHook, Simulator, StepNull};
+use dsa_cpu::{CpuConfig, NullHook, Simulator, Stepped};
 use dsa_workloads::{build, BuiltWorkload, Scale, WorkloadId};
 
 fn simulate(w: &BuiltWorkload, dsa: bool) -> u64 {
@@ -48,8 +48,8 @@ fn bench_workloads(c: &mut Criterion) {
     group.finish();
 }
 
-/// One prepared simulator per iteration, so the dispatch comparison
-/// measures only the run loop.
+/// One prepared simulator per iteration, so the comparisons measure
+/// only the run loop.
 fn prepared(w: &BuiltWorkload) -> Simulator {
     let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
     (w.init)(sim.machine_mut());
@@ -59,41 +59,12 @@ fn prepared(w: &BuiltWorkload) -> Simulator {
     sim
 }
 
-/// Virtual dispatch (`&mut dyn CommitHook`) vs the monomorphized
-/// generic fast path, on the same workload and hook. The generic path
-/// inlines `Dsa::on_commit` into the step loop; the dyn path pays an
-/// indirect call per committed instruction.
-fn bench_hook_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hook-dispatch");
-    group.sample_size(20);
-    let w = build(WorkloadId::RgbGray, dsa_compiler::Variant::Scalar, Scale::Small);
-    group.bench_function("dyn-hook", |b| {
-        b.iter(|| {
-            let mut sim = prepared(&w);
-            let mut hook = Dsa::new(DsaConfig::full());
-            let dyn_hook: &mut dyn DynCommitHook = &mut hook;
-            let out = sim.run_with_dyn_hook(100_000_000, dyn_hook).expect("runs");
-            assert!(out.halted);
-            black_box(out.committed)
-        })
-    });
-    group.bench_function("generic-hook", |b| {
-        b.iter(|| {
-            let mut sim = prepared(&w);
-            let mut hook = Dsa::new(DsaConfig::full());
-            let out = sim.run_with_hook(100_000_000, &mut hook).expect("runs");
-            assert!(out.halted);
-            black_box(out.committed)
-        })
-    });
-    group.finish();
-}
-
-/// Step-mode vs block-mode interpretation on identical scalar runs:
-/// [`StepNull`] pins the classic per-commit loop, [`NullHook`] engages
-/// the predecoded superblock fast path. Outcomes are asserted identical
-/// every iteration — this group measures the pure interpreter-shape
-/// difference that `perf_baseline` reports as wall-clock MIPS.
+/// Step-mode vs block-mode interpretation on identical runs, scalar and
+/// DSA-attached: [`Stepped`] pins the classic per-commit loop, while
+/// [`NullHook`] and a bare [`Dsa`] let the driver take the predecoded
+/// superblock path wherever their interest allows. This group measures
+/// the pure interpreter-shape difference that `perf_baseline` reports as
+/// wall-clock MIPS.
 fn bench_step_vs_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("step-vs-block");
     group.sample_size(20);
@@ -101,7 +72,7 @@ fn bench_step_vs_block(c: &mut Criterion) {
     group.bench_function("step", |b| {
         b.iter(|| {
             let mut sim = prepared(&w);
-            let out = sim.run_with_hook(100_000_000, &mut StepNull).expect("runs");
+            let out = sim.run_with_hook(100_000_000, &mut Stepped(NullHook)).expect("runs");
             assert!(out.halted);
             black_box(out.cycles)
         })
@@ -114,13 +85,31 @@ fn bench_step_vs_block(c: &mut Criterion) {
             black_box(out.cycles)
         })
     });
+    group.bench_function("dsa-step", |b| {
+        b.iter(|| {
+            let mut sim = prepared(&w);
+            let mut hook = Stepped(Dsa::new(DsaConfig::full()));
+            let out = sim.run_with_hook(100_000_000, &mut hook).expect("runs");
+            assert!(out.halted);
+            black_box(out.cycles)
+        })
+    });
+    group.bench_function("dsa-block", |b| {
+        b.iter(|| {
+            let mut sim = prepared(&w);
+            let mut hook = Dsa::new(DsaConfig::full());
+            let out = sim.run_with_hook(100_000_000, &mut hook).expect("runs");
+            assert!(out.halted);
+            black_box(out.cycles)
+        })
+    });
     group.finish();
 }
 
 /// Cost of the observability layer on the monomorphized hot loop:
 /// tracer off (the default — every emit is a dead branch) vs a
 /// [`dsa_trace::NullSink`] (events built and dropped) vs the full
-/// metrics registry. `trace-off` must track `generic-hook` above; the
+/// metrics registry. `trace-off` must track `dsa-block` above; the
 /// release gate for that is `trace_overhead_guard --check`.
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace-overhead");
@@ -162,7 +151,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_workloads,
-    bench_hook_dispatch,
     bench_step_vs_block,
     bench_trace_overhead
 );

@@ -1,10 +1,10 @@
 //! Wall-clock throughput baseline for the superblock interpreter
-//! (`BENCH_6.json`), in two sections:
+//! (`BENCH_6.json`, `BENCH_7.json`), in three sections:
 //!
 //! 1. **Scalar grid** (BENCH_5 continuity): every chaos workload — the
 //!    seven paper applications plus the sentinel microkernel — is
 //!    simulated twice on the scalar system, once pinned to the classic
-//!    per-commit step loop ([`StepNull`]) and once on the predecoded
+//!    per-commit step loop ([`Stepped`]) and once on the predecoded
 //!    block fast path ([`NullHook`]), and the minimum-of-N wall clock
 //!    of each is reported as MIPS (committed instructions / second /
 //!    1e6).
@@ -16,6 +16,14 @@
 //!    cycles, committed count, architectural digest and output checksum
 //!    must be bit-identical across backends and reps — the backend is a
 //!    pure host-execution change.
+//! 3. **DSA section**: each paper application, plus the conditional and
+//!    FIR microkernels, under DSA full, three shapes interleaved per
+//!    rep: the scalar block path ([`NullHook`]), the DSA stepped through
+//!    every commit ([`Stepped`]`<Dsa>`) and the DSA riding superblocks
+//!    wherever its interest allows. Every rep is a gate: the riding run
+//!    must reproduce the stepped run's cycles, committed count,
+//!    checksum, digest and `DsaStats` bit for bit. Reported: DSA-full
+//!    MIPS and its ratio to scalar block MIPS on the same binary.
 //!
 //! ```text
 //! cargo run --release -p dsa-bench --bin perf_baseline              # full grid → BENCH_6.json
@@ -27,7 +35,10 @@
 //!
 //! `--floor MIPS` asserts the block-mode sentinel throughput stays
 //! above a (deliberately generous) floor, catching order-of-magnitude
-//! regressions in CI without flaking on machine noise. `--compare PATH`
+//! regressions in CI without flaking on machine noise. `--dsa-floor
+//! RATIO` asserts the same of the FIR microkernel's DSA-full MIPS over
+//! its scalar block MIPS — a plain covered loop, so the ratio collapses
+//! if the DSA stops riding blocks. `--compare PATH`
 //! diffs the scalar grid against a previous baseline JSON and exits
 //! non-zero if total block throughput regressed by more than
 //! `--tolerance` percent (default 10).
@@ -37,12 +48,13 @@ use std::time::Instant;
 use dsa_bench::chaos::chaos_workloads;
 use dsa_bench::{cache::Workload, FUEL};
 use dsa_compiler::Variant;
-use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Simulator, StepNull};
+use dsa_core::{Dsa, DsaConfig, DsaStats};
+use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Simulator, Stepped};
 use dsa_trace::json::{self, Value};
 use dsa_workloads::{build, micro, BuiltWorkload, Scale, WorkloadId};
 
 const USAGE: &str = "usage: perf_baseline [--reps N] [--out PATH] [--scale S] [--floor MIPS] \
-     [--micro-only] [--compare PATH] [--tolerance PCT]";
+     [--dsa-floor RATIO] [--micro-only] [--compare PATH] [--tolerance PCT]";
 
 /// The vector-heavy applications measured per backend (the paper's
 /// DLP-rich kernels; the other three are control-flow bound).
@@ -125,12 +137,12 @@ fn measure(w: &BuiltWorkload, reps: u32) -> Result<Measured, String> {
     let simd = Simd::active();
     // Warm-up: page-in, branch-predict the host loops, fill the shared
     // predecode cache.
-    let _ = run_once(w, simd, &mut StepNull);
+    let _ = run_once(w, simd, &mut Stepped(NullHook));
     let _ = run_once(w, simd, &mut NullHook);
     let (mut step_best, mut block_best) = (f64::INFINITY, f64::INFINITY);
     let mut facts: Option<Facts> = None;
     for _ in 0..reps {
-        let (s, s_secs) = run_once(w, simd, &mut StepNull);
+        let (s, s_secs) = run_once(w, simd, &mut Stepped(NullHook));
         let (b, b_secs) = run_once(w, simd, &mut NullHook);
         if s != b {
             return Err(format!(
@@ -209,6 +221,79 @@ fn measure_vector(w: &BuiltWorkload, reps: u32) -> Result<VectorMeasured, String
         committed: f.committed,
         secs: backends.iter().copied().zip(best).collect(),
     })
+}
+
+/// Interleaved min-of-N wall clock for one workload under DSA full:
+/// scalar block, DSA stepped and DSA riding blocks.
+struct DsaMeasured {
+    cycles: u64,
+    committed: u64,
+    scalar_secs: f64,
+    step_secs: f64,
+    block_secs: f64,
+}
+
+fn measure_dsa(w: &BuiltWorkload, reps: u32) -> Result<DsaMeasured, String> {
+    let simd = Simd::active();
+    let config = DsaConfig::full();
+    let _ = run_once(w, simd, &mut NullHook);
+    let _ = run_once(w, simd, &mut Dsa::new(config));
+    let (mut scalar_best, mut step_best, mut block_best) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut facts: Option<(Facts, DsaStats)> = None;
+    for _ in 0..reps {
+        let (_, scalar_secs) = run_once(w, simd, &mut NullHook);
+        let mut stepped = Stepped(Dsa::new(config));
+        let (s, s_secs) = run_once(w, simd, &mut stepped);
+        let mut riding = Dsa::new(config);
+        let (b, b_secs) = run_once(w, simd, &mut riding);
+        let (s_stats, b_stats) = (stepped.0.stats(), riding.stats());
+        if s != b || s_stats != b_stats {
+            return Err(format!(
+                "DSA on blocks diverged from the stepped DSA (cycles {} vs {}, committed {} vs \
+                 {}, checksum {:#x} vs {:#x}, DSA stats equal: {})",
+                b.cycles,
+                s.cycles,
+                b.committed,
+                s.committed,
+                b.checksum,
+                s.checksum,
+                s_stats == b_stats
+            ));
+        }
+        if let Some(prev) = facts {
+            if prev != (s, s_stats) {
+                return Err("DSA run is not deterministic across reps".into());
+            }
+        }
+        facts = Some((s, s_stats));
+        scalar_best = scalar_best.min(scalar_secs);
+        step_best = step_best.min(s_secs);
+        block_best = block_best.min(b_secs);
+    }
+    let (f, _) = facts.expect("reps >= 1 checked at parse time");
+    Ok(DsaMeasured {
+        cycles: f.cycles,
+        committed: f.committed,
+        scalar_secs: scalar_best,
+        step_secs: step_best,
+        block_secs: block_best,
+    })
+}
+
+struct DsaRow {
+    name: &'static str,
+    m: DsaMeasured,
+}
+
+impl DsaRow {
+    fn mips(&self, secs: f64) -> f64 {
+        self.m.committed as f64 / secs / 1e6
+    }
+    /// DSA-full MIPS over scalar block MIPS on the same binary.
+    fn vs_scalar(&self) -> f64 {
+        self.m.scalar_secs / self.m.block_secs
+    }
 }
 
 struct Row {
@@ -317,6 +402,7 @@ fn main() {
     let mut out_path = String::from("BENCH_6.json");
     let mut scale = Scale::Paper;
     let mut floor: Option<f64> = None;
+    let mut dsa_floor: Option<f64> = None;
     let mut micro_only = false;
     let mut compare: Option<String> = None;
     let mut tolerance: f64 = 10.0;
@@ -342,6 +428,13 @@ fn main() {
                     take(&mut it, "--floor")
                         .parse()
                         .unwrap_or_else(|_| usage_error("--floor needs a number")),
+                );
+            }
+            "--dsa-floor" => {
+                dsa_floor = Some(
+                    take(&mut it, "--dsa-floor")
+                        .parse()
+                        .unwrap_or_else(|_| usage_error("--dsa-floor needs a number")),
                 );
             }
             "--micro-only" => micro_only = true,
@@ -398,6 +491,20 @@ fn main() {
             });
         }
     }
+    // DSA section: the paper applications (skipped for the CI micro
+    // smoke) plus the conditional and FIR microkernels.
+    let mut dsa_grid: Vec<Workload> = Vec::new();
+    if !micro_only {
+        dsa_grid.extend(WorkloadId::all().map(Workload::App));
+    }
+    dsa_grid.extend([Workload::Micro(micro::Micro::Conditional), Workload::Micro(micro::Micro::Fir)]);
+    let mut drows = Vec::new();
+    for workload in &dsa_grid {
+        let w = built(*workload, scale);
+        let m = measure_dsa(&w, reps)
+            .unwrap_or_else(|e| fail(&format!("{} (DSA full): {e}", workload.describe())));
+        drows.push(DsaRow { name: workload.describe(), m });
+    }
     let grid_secs = grid_start.elapsed().as_secs_f64();
 
     println!(
@@ -453,6 +560,26 @@ fn main() {
                 );
             }
         }
+    }
+
+    println!("\nDSA full (stepped through every commit vs riding superblocks):");
+    println!(
+        "{:<14} {:>12} {:>10} {:>10} {:>10} {:>11} {:>10} {:>9}",
+        "workload", "committed", "scalar ms", "step ms", "dsa ms", "scalar MIPS", "dsa MIPS",
+        "vs scalar"
+    );
+    for r in &drows {
+        println!(
+            "{:<14} {:>12} {:>10.3} {:>10.3} {:>10.3} {:>11.1} {:>10.1} {:>9.2}",
+            r.name,
+            r.m.committed,
+            r.m.scalar_secs * 1e3,
+            r.m.step_secs * 1e3,
+            r.m.block_secs * 1e3,
+            r.mips(r.m.scalar_secs),
+            r.mips(r.m.block_secs),
+            r.vs_scalar()
+        );
     }
 
     // Hand-written JSON — the repo-root artifact the acceptance gate
@@ -519,7 +646,29 @@ fn main() {
             Simd::best().name()
         ));
     }
-    json.push_str("}\n");
+    json.push_str(",\"dsa\":{\"config\":\"full\",\"workloads\":[");
+    for (i, r) in drows.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        json.push_str(&format!(
+            "{{\"name\":\"{}\",\"committed\":{},\"cycles\":{},\
+             \"scalar_block_seconds\":{:.6},\"dsa_step_seconds\":{:.6},\
+             \"dsa_block_seconds\":{:.6},\"scalar_block_mips\":{:.2},\
+             \"dsa_step_mips\":{:.2},\"dsa_mips\":{:.2},\"dsa_vs_scalar\":{:.3}}}",
+            r.name,
+            r.m.committed,
+            r.m.cycles,
+            r.m.scalar_secs,
+            r.m.step_secs,
+            r.m.block_secs,
+            r.mips(r.m.scalar_secs),
+            r.mips(r.m.step_secs),
+            r.mips(r.m.block_secs),
+            r.vs_scalar()
+        ));
+    }
+    json.push_str("]}}\n");
     std::fs::write(&out_path, json)
         .unwrap_or_else(|e| fail(&format!("cannot write {out_path}: {e}")));
     println!("wrote {out_path}");
@@ -536,6 +685,20 @@ fn main() {
             ));
         }
         println!("floor check: {mips:.1} MIPS >= {floor:.1} MIPS");
+    }
+
+    if let Some(floor) = dsa_floor {
+        let fir = drows
+            .iter()
+            .find(|r| r.name == micro::Micro::Fir.name())
+            .unwrap_or_else(|| fail("--dsa-floor needs the FIR microkernel in the DSA section"));
+        let ratio = fir.vs_scalar();
+        if ratio < floor {
+            fail(&format!(
+                "DSA-full FIR throughput is {ratio:.2}x scalar block, under the {floor:.2}x floor"
+            ));
+        }
+        println!("DSA floor check: {ratio:.2}x >= {floor:.2}x scalar block");
     }
 
     if let Some(path) = compare {

@@ -80,8 +80,8 @@ fn run_once(w: &BuiltWorkload, with_sink: bool) -> (RunOutcome, u64, f64) {
 }
 
 /// One scalar-baseline run on the superblock fast path (`NullHook`,
-/// `PER_COMMIT = false`), with tracing either off entirely or attached
-/// as run-bracket telemetry through `run_traced` + [`NullSink`].
+/// whose interest is `Nothing`), with tracing either off entirely or
+/// attached as run-bracket telemetry through `run_traced` + [`NullSink`].
 fn run_scalar_block(w: &BuiltWorkload, with_sink: bool) -> (RunOutcome, u64, f64) {
     let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
     (w.init)(sim.machine_mut());

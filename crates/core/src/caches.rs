@@ -1,7 +1,7 @@
 //! The DSA's two private memories: the DSA cache (verified-loop store)
 //! and the Verification Cache (iteration-2 data addresses).
 
-use std::collections::HashMap;
+use dsa_mem::U32Map;
 
 use crate::plan::LoopTemplate;
 use crate::stats::LoopClass;
@@ -53,7 +53,10 @@ struct Entry {
 pub struct DsaCache {
     capacity_bytes: u32,
     used_bytes: u32,
-    entries: HashMap<u32, Entry>,
+    /// Keyed by loop ID (a PC of the simulated program); the byte
+    /// capacity bounds the entry count, so even colliding IDs cost a
+    /// bounded probe.
+    entries: U32Map<Entry>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -66,7 +69,7 @@ impl DsaCache {
         DsaCache {
             capacity_bytes,
             used_bytes: 0,
-            entries: HashMap::new(),
+            entries: U32Map::default(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -192,7 +195,7 @@ impl DsaCache {
         evictions: u64,
     ) -> DsaCache {
         let mut used_bytes = 0u32;
-        let entries: HashMap<u32, Entry> = entries
+        let entries: U32Map<Entry> = entries
             .into_iter()
             .map(|(id, kind, last_use)| {
                 used_bytes += kind.size_bytes();

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use dsa_cpu::{CommitHook, Machine, SimControl, TraceEvent};
+use dsa_cpu::{CommitHook, Interest, Machine, SimControl, TraceEvent};
 use dsa_isa::{Cond, Instr};
 use dsa_trace::{CacheKind, CacheOutcome, Event, SpecKind, Stage, TraceSink, Tracer};
 
@@ -74,6 +74,14 @@ pub struct Dsa {
     /// boundaries and stage transitions — never the per-commit path —
     /// and the disabled path is a single discriminant test.
     tracer: Tracer,
+    /// What the driver must show the engine next, recomputed after every
+    /// callback (see [`Dsa::next_interest`]). `Every` until the engine
+    /// has seen the simulator it is attached to.
+    interest: Interest,
+    /// The one iteration recorder, shared by analysis and conditional
+    /// execution (never active at once) and reset per iteration, so its
+    /// buffers are allocated once per engine rather than per iteration.
+    rec: IterationRecorder,
 }
 
 /// Outcome of [`Dsa::restore_or_cold`]: either the warm state came back,
@@ -115,7 +123,6 @@ struct Analysis {
     id: u32,
     end_pc: u32,
     iter: u32,
-    rec: IterationRecorder,
     /// Iteration-2 profile (Data Collection output).
     collected: Option<IterationProfile>,
     /// Cache-hit fast path: the stored template.
@@ -196,7 +203,6 @@ enum ExecKind {
         window_arms: BTreeMap<u64, Vec<(StreamTemplate, u32)>>,
         /// Iterations covered in the current window.
         window_fill: u32,
-        rec: IterationRecorder,
         injected_elems: u32,
     },
 }
@@ -214,6 +220,8 @@ impl Dsa {
             faults: config.faults.map(FaultState::new),
             error: None,
             tracer: Tracer::Off,
+            interest: Interest::Every,
+            rec: IterationRecorder::new(0, 0),
         }
     }
 
@@ -265,6 +273,8 @@ impl Dsa {
             faults: config.faults.map(FaultState::new),
             error: None,
             tracer: Tracer::Off,
+            interest: Interest::Every,
+            rec: IterationRecorder::new(0, 0),
         }
     }
 
@@ -560,11 +570,11 @@ impl Dsa {
                         }
                     }
                 }
+                self.rec.reset(id, ev.pc);
                 self.mode = Mode::Analyzing(Box::new(Analysis {
                     id,
                     end_pc: ev.pc,
                     iter: 1,
-                    rec: IterationRecorder::new(id, ev.pc),
                     collected: None,
                     hit: Some(t),
                     cond: None,
@@ -590,11 +600,11 @@ impl Dsa {
                     dsa_cycles: 0,
                     cycle,
                 });
+                self.rec.reset(id, ev.pc);
                 self.mode = Mode::Analyzing(Box::new(Analysis {
                     id,
                     end_pc: ev.pc,
                     iter: 1,
-                    rec: IterationRecorder::new(id, ev.pc),
                     collected: None,
                     hit: None,
                     cond: None,
@@ -671,7 +681,7 @@ impl Dsa {
         }
 
         let a = expect_mode!(self, Analyzing, "iteration recording");
-        a.rec.record(ev, machine);
+        self.rec.record(ev, machine);
 
         // Loop exited before analysis finished (trip shorter than the
         // analysis window): nothing to do.
@@ -693,9 +703,9 @@ impl Dsa {
     ) -> Result<(), EngineError> {
         let a = expect_mode!(self, Analyzing, "finish_iteration");
         let closing_unconditional = matches!(ev.instr, Instr::B { cond: Cond::Al, .. });
-        let index_reg = a.rec.last_cmp_reg();
-        let rec = std::mem::replace(&mut a.rec, IterationRecorder::new(a.id, a.end_pc));
-        let mut profile = rec.finish(index_reg);
+        let index_reg = self.rec.last_cmp_reg();
+        let mut profile = self.rec.finish(index_reg);
+        self.rec.clear();
         a.iter += 1;
         let iter = a.iter;
         let id = a.id;
@@ -1472,10 +1482,11 @@ impl Dsa {
                 cond.arms.values().map(|(p, _, _)| p).collect();
             let union: HashSet<u32> =
                 profiles.iter().flat_map(|p| p.pcs.iter().copied()).collect();
-            let common: HashSet<u32> = profiles
+            let arm_pcs: Vec<u32> = union
                 .iter()
-                .fold(union.clone(), |acc, p| acc.intersection(&p.pcs).copied().collect());
-            let arm_pcs: Vec<u32> = union.difference(&common).copied().collect();
+                .filter(|pc| profiles.iter().any(|p| p.pcs.binary_search(pc).is_err()))
+                .copied()
+                .collect();
             match (arm_pcs.iter().min(), arm_pcs.iter().max()) {
                 (Some(&lo), Some(&hi)) => Some((lo, hi)),
                 _ => None,
@@ -1566,6 +1577,7 @@ impl Dsa {
             cycle,
         });
         ctl.begin_coverage();
+        self.rec.reset(id, end_pc);
         self.mode = Mode::Executing(Box::new(Execution {
             id,
             lo: id,
@@ -1575,7 +1587,6 @@ impl Dsa {
                 template,
                 window_arms: BTreeMap::new(),
                 window_fill: 0,
-                rec: IterationRecorder::new(id, end_pc),
                 injected_elems: 0,
             },
             iters: 0,
@@ -1665,10 +1676,10 @@ impl Dsa {
                 template,
                 window_arms,
                 window_fill,
-                rec,
                 injected_elems,
             } => {
                 let lanes = template.lanes();
+                let rec = &mut self.rec;
                 rec.record(ev, machine);
                 if boundary {
                     self.stats.array_map_accesses += 1;
@@ -1683,53 +1694,55 @@ impl Dsa {
                         dsa_cycles: map_lat as u64,
                         cycle,
                     });
-                    let idx_reg = rec.last_cmp_reg();
-                    let r = std::mem::replace(rec, IterationRecorder::new(x.lo, x.hi));
-                    let p = r.finish(idx_reg);
-                    let path = p.path;
+                    let path = rec.path();
                     // First time this arm appears within the current
                     // window: remember its stream bases, rewound to the
-                    // window start.
+                    // window start. A verified arm keeps its template
+                    // streams; an arm the mapping never saw takes every
+                    // access of this iteration at the element stride.
                     if let std::collections::btree_map::Entry::Vacant(slot) =
                         window_arms.entry(path)
                     {
-                        let arm = template
-                            .arms
-                            .iter()
-                            .find(|a| a.path == path)
-                            .cloned()
-                            .unwrap_or_else(|| ArmTemplate {
-                                path,
-                                streams: p
-                                    .accesses
-                                    .iter()
-                                    .map(|s| StreamTemplate {
-                                        pc: s.pc,
-                                        occ: s.occ,
-                                        is_write: s.is_write,
-                                        bytes: s.bytes,
-                                        gap: template.elem_bytes as i64,
-                                    })
-                                    .collect(),
-                                ops: OpMix {
-                                    alu: p.body.vec_alu,
-                                    mul: p.body.vec_mul,
-                                    shift: p.body.vec_shift,
-                                },
-                            });
                         let fill = *window_fill as i64;
-                        let bases: Vec<(StreamTemplate, u32)> = arm
-                            .streams
-                            .iter()
-                            .filter_map(|s| {
-                                p.find(s.pc, s.occ)
-                                    .map(|obs| (*s, (obs.addr as i64 - s.gap * fill) as u32))
-                            })
-                            .collect();
-                        if bases.len() == arm.streams.len() {
-                            slot.insert(bases);
+                        let rewind = |s: StreamTemplate, addr: u32| {
+                            (s, (addr as i64 - s.gap * fill) as u32)
+                        };
+                        match template.arms.iter().find(|a| a.path == path) {
+                            Some(arm) => {
+                                let bases: Vec<(StreamTemplate, u32)> = arm
+                                    .streams
+                                    .iter()
+                                    .filter_map(|s| {
+                                        rec.find(s.pc, s.occ).map(|obs| rewind(*s, obs.addr))
+                                    })
+                                    .collect();
+                                if bases.len() == arm.streams.len() {
+                                    slot.insert(bases);
+                                }
+                            }
+                            None => {
+                                let gap = template.elem_bytes as i64;
+                                let bases = rec
+                                    .accesses()
+                                    .iter()
+                                    .filter_map(|s| {
+                                        let st = StreamTemplate {
+                                            pc: s.pc,
+                                            occ: s.occ,
+                                            is_write: s.is_write,
+                                            bytes: s.bytes,
+                                            gap,
+                                        };
+                                        // The first observation with this
+                                        // (pc, occ), as for a template arm.
+                                        rec.find(s.pc, s.occ).map(|obs| rewind(st, obs.addr))
+                                    })
+                                    .collect();
+                                slot.insert(bases);
+                            }
                         }
                     }
+                    rec.clear();
                     *window_fill += 1;
                     // Window complete: vectorize every accessed condition
                     // over it and let the Array Maps select lanes.
@@ -1870,7 +1883,59 @@ fn is_loop_branch(ev: &TraceEvent) -> bool {
     matches!(ev.instr, Instr::B { .. }) && ev.is_backward_taken_branch()
 }
 
+impl Dsa {
+    /// The commits the engine must see after the one just handled. Each
+    /// `Terminals`/`Nothing` answer is exact: it holds only where a
+    /// callback for a straight-line commit cannot change anything.
+    ///
+    /// * Probing reacts only to backward-taken `B` terminals
+    ///   ([`is_loop_branch`]); every other commit returns at once —
+    ///   unless coverage is still on (a skipped rollback flush), which
+    ///   the stale-coverage self-check in [`Dsa::probe`] must catch on
+    ///   the very next commit.
+    /// * Executing a plain loop changes state only at terminals: the
+    ///   call depth (`Bl`/`BxLr`), the iteration boundary (the closing
+    ///   `B`), and the peel toggle, which re-asserts coverage equal to
+    ///   `iters >= peel` — a value that moves only at a boundary, where
+    ///   it is re-asserted at once. The exit check fires only when the
+    ///   next PC leaves the body with no call in flight, and straight-line
+    ///   code starting inside the body runs into the closing branch
+    ///   before it can leave. Outside the body with no call in flight
+    ///   (a branch into the callee range) the engine asks for every
+    ///   commit.
+    /// * Analysis records every commit; sentinel execution re-decides
+    ///   coverage on every commit against the stop check; conditional
+    ///   execution records every commit of the iteration.
+    /// * A poisoned engine ignores everything.
+    fn next_interest(&self, machine: &Machine, coverage: bool) -> Interest {
+        match &self.mode {
+            Mode::Probing if coverage => Interest::Every,
+            Mode::Probing => Interest::Terminals,
+            Mode::Executing(x) => match x.kind {
+                ExecKind::Plain { .. }
+                    if x.call_depth > 0 || (x.lo..=x.hi).contains(&machine.pc()) =>
+                {
+                    Interest::Terminals
+                }
+                _ => Interest::Every,
+            },
+            Mode::Analyzing(_) => Interest::Every,
+            Mode::Poisoned => Interest::Nothing,
+        }
+    }
+}
+
 impl CommitHook for Dsa {
+    fn interest(&self) -> Interest {
+        self.interest
+    }
+
+    fn on_finish(&mut self, _machine: &Machine) {
+        // The engine may next be attached to another simulator (a new
+        // run with warm caches), whose PC and coverage it has not seen.
+        self.interest = Interest::Every;
+    }
+
     fn on_commit(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
         let step = match &self.mode {
             Mode::Probing => {
@@ -1892,5 +1957,6 @@ impl CommitHook for Dsa {
         if let Err(err) = step {
             self.poison(err, ctl);
         }
+        self.interest = self.next_interest(machine, ctl.coverage_active());
     }
 }

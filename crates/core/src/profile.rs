@@ -1,8 +1,6 @@
 //! Per-iteration profiling: what the Data Collection stage extracts from
 //! the committed instruction stream.
 
-use std::collections::{HashMap, HashSet};
-
 use dsa_cpu::{Machine, TraceEvent};
 use dsa_isa::{AluOp, Instr, Operand, Reg};
 
@@ -88,8 +86,8 @@ pub struct IterationProfile {
     pub path: u64,
     /// Number of in-body conditional branches observed.
     pub cond_branches: u32,
-    /// PCs executed inside the loop range.
-    pub pcs: HashSet<u32>,
+    /// PCs executed inside the loop range, ascending.
+    pub pcs: Vec<u32>,
     /// Classified operation profile.
     pub body: BodyProfile,
     /// Whether the body called a function.
@@ -140,14 +138,26 @@ pub enum BodyClass {
 }
 
 /// Records one iteration of the loop `[lo..=hi]` from commit events.
+///
+/// One recorder can serve every iteration of every loop: [`reset`] and
+/// [`clear`] empty it and keep its buffers, so recording allocates only
+/// while the buffers grow to the largest iteration seen. Per-commit lookups
+/// avoid hashing: occurrences are counted per PC in a short list (an
+/// iteration has few distinct access PCs), visited body PCs live in a
+/// bitset over the loop range and address registers in a 16-bit mask.
+///
+/// [`reset`]: IterationRecorder::reset
+/// [`clear`]: IterationRecorder::clear
 #[derive(Debug)]
 pub struct IterationRecorder {
     lo: u32,
     hi: u32,
     accesses: Vec<StreamInfo>,
-    occ: HashMap<u32, u8>,
+    /// `(pc, occurrences so far)` for every PC that accessed memory.
+    occ: Vec<(u32, u8)>,
     instrs: Vec<(u32, Instr)>,
-    base_regs: HashSet<Reg>,
+    /// Base registers of scalar memory accesses, one bit per register.
+    base_regs: u16,
     last_cmp: Option<(CmpObs, Option<Reg>)>,
     path: u64,
     cond_branches: u32,
@@ -155,11 +165,16 @@ pub struct IterationRecorder {
     /// Register moves observed (`rd <- rm`), for the transitive
     /// address-register closure.
     movs: Vec<(Reg, Reg)>,
-    pcs: HashSet<u32>,
+    /// Bit `pc - lo` is set when body PC `pc` executed.
+    pcs: Vec<u64>,
     has_call: bool,
     callee_range: Option<(u32, u32)>,
     exit_check_pc: Option<u32>,
     n_events: u32,
+}
+
+fn reg_bit(r: Reg) -> u16 {
+    1u16 << r.index()
 }
 
 impl IterationRecorder {
@@ -169,20 +184,45 @@ impl IterationRecorder {
             lo,
             hi,
             accesses: Vec::new(),
-            occ: HashMap::new(),
+            occ: Vec::new(),
             instrs: Vec::new(),
-            base_regs: HashSet::new(),
+            base_regs: 0,
             last_cmp: None,
             path: 0,
             cond_branches: 0,
             cond_branch_pcs: Vec::new(),
             movs: Vec::new(),
-            pcs: HashSet::new(),
+            pcs: Vec::new(),
             has_call: false,
             callee_range: None,
             exit_check_pc: None,
             n_events: 0,
         }
+    }
+
+    /// Starts over on the loop body `[lo..=hi]`, keeping the buffers.
+    pub fn reset(&mut self, lo: u32, hi: u32) {
+        self.lo = lo;
+        self.hi = hi;
+        self.clear();
+    }
+
+    /// Forgets the recorded iteration, keeping the buffers for the next.
+    pub fn clear(&mut self) {
+        self.accesses.clear();
+        self.occ.clear();
+        self.instrs.clear();
+        self.base_regs = 0;
+        self.last_cmp = None;
+        self.path = 0;
+        self.cond_branches = 0;
+        self.cond_branch_pcs.clear();
+        self.movs.clear();
+        self.pcs.iter_mut().for_each(|w| *w = 0);
+        self.has_call = false;
+        self.callee_range = None;
+        self.exit_check_pc = None;
+        self.n_events = 0;
     }
 
     fn in_range(&self, pc: u32) -> bool {
@@ -194,7 +234,11 @@ impl IterationRecorder {
     pub fn record(&mut self, ev: &TraceEvent, machine: &Machine) {
         self.n_events += 1;
         if self.in_range(ev.pc) {
-            self.pcs.insert(ev.pc);
+            let bit = (ev.pc - self.lo) as usize;
+            if bit / 64 >= self.pcs.len() {
+                self.pcs.resize(bit / 64 + 1, 0);
+            }
+            self.pcs[bit / 64] |= 1 << (bit % 64);
         } else if let Some((lo, hi)) = &mut self.callee_range {
             *lo = (*lo).min(ev.pc);
             *hi = (*hi).max(ev.pc);
@@ -204,7 +248,14 @@ impl IterationRecorder {
         self.instrs.push((ev.pc, ev.instr));
 
         if let Some(acc) = ev.read.or(ev.write) {
-            let occ = self.occ.entry(ev.pc).or_insert(0);
+            let occ = match self.occ.iter_mut().find(|(pc, _)| *pc == ev.pc) {
+                Some((_, n)) => n,
+                None => {
+                    self.occ.push((ev.pc, 0));
+                    let last = self.occ.len() - 1;
+                    &mut self.occ[last].1
+                }
+            };
             self.accesses.push(StreamInfo {
                 pc: ev.pc,
                 occ: *occ,
@@ -212,14 +263,12 @@ impl IterationRecorder {
                 bytes: acc.bytes,
                 addr: acc.addr,
             });
-            *occ += 1;
+            *occ = occ.wrapping_add(1);
             match ev.instr {
                 Instr::Ldr { rn, .. }
                 | Instr::Str { rn, .. }
                 | Instr::LdrReg { rn, .. }
-                | Instr::StrReg { rn, .. } => {
-                    self.base_regs.insert(rn);
-                }
+                | Instr::StrReg { rn, .. } => self.base_regs |= reg_bit(rn),
                 _ => {}
             }
         }
@@ -258,43 +307,62 @@ impl IterationRecorder {
         }
     }
 
-    /// Finalises the iteration and classifies its operations.
-    pub fn finish(self, index_reg: Option<Reg>) -> IterationProfile {
+    /// The recorded iteration's conditional path hash (see
+    /// [`IterationProfile::path`]) — with [`IterationRecorder::find`],
+    /// all a conditional execution window reads, without the operation
+    /// classification of [`IterationRecorder::finish`].
+    pub fn path(&self) -> u64 {
+        self.path
+    }
+
+    /// The recorded iteration's access observations, in order.
+    pub fn accesses(&self) -> &[StreamInfo] {
+        &self.accesses
+    }
+
+    /// Finds the recorded observation matching `(pc, occ)`.
+    pub fn find(&self, pc: u32, occ: u8) -> Option<&StreamInfo> {
+        self.accesses.iter().find(|s| s.pc == pc && s.occ == occ)
+    }
+
+    /// Classifies the recorded iteration's operations into a profile.
+    pub fn finish(&self, index_reg: Option<Reg>) -> IterationProfile {
         let mut body = BodyProfile::default();
-        let mut widths: HashSet<u8> = HashSet::new();
         for s in &self.accesses {
-            widths.insert(s.bytes);
             if s.is_write {
                 body.stores += 1;
             } else {
                 body.loads += 1;
             }
         }
-        body.elem_bytes = match widths.len() {
-            0 => None,
-            1 => widths.iter().next().copied(),
-            _ => None, // inconsistent member lengths (Table 1, line 9)
+        // One width for every access, or none (inconsistent member
+        // lengths, Table 1 line 9).
+        body.elem_bytes = match self.accesses.split_first() {
+            Some((first, rest)) if rest.iter().all(|s| s.bytes == first.bytes) => {
+                Some(first.bytes)
+            }
+            _ => None,
         };
 
-        let overhead_regs: HashSet<Reg> = {
-            let mut set = self.base_regs.clone();
+        let overhead_regs: u16 = {
+            let mut set = self.base_regs;
             if let Some(r) = index_reg {
-                set.insert(r);
+                set |= reg_bit(r);
             }
             if let Some((_, Some(r))) = self.last_cmp {
-                set.insert(r);
+                set |= reg_bit(r);
             }
             // Transitive closure over moves: a register copied into an
             // address register is itself address arithmetic (e.g. an
             // outer loop's row pointer feeding the inner loop's base).
             loop {
-                let before = set.len();
+                let before = set;
                 for &(rd, rm) in &self.movs {
-                    if set.contains(&rd) {
-                        set.insert(rm);
+                    if set & reg_bit(rd) != 0 {
+                        set |= reg_bit(rm);
                     }
                 }
-                if set.len() == before {
+                if set == before {
                     break;
                 }
             }
@@ -305,7 +373,7 @@ impl IterationRecorder {
         for (pc, instr) in &self.instrs {
             match instr {
                 Instr::Alu { op, rd, .. } => {
-                    if overhead_regs.contains(rd) {
+                    if overhead_regs & reg_bit(*rd) != 0 {
                         body.droppable += 1;
                         continue;
                     }
@@ -346,18 +414,28 @@ impl IterationRecorder {
             }
         }
 
+        let pcs = self
+            .pcs
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &bits)| {
+                (0..64).filter(move |b| bits >> b & 1 != 0).map(move |b| (w * 64 + b) as u32)
+            })
+            .map(|off| self.lo + off)
+            .collect();
+
         IterationProfile {
-            accesses: self.accesses,
+            accesses: self.accesses.clone(),
             closing_cmp: self.last_cmp.map(|(c, _)| c),
             path: self.path,
             cond_branches: self.cond_branches,
-            pcs: self.pcs,
+            pcs,
             body,
             has_call: self.has_call,
             callee_range: self.callee_range,
             exit_check_pc: self.exit_check_pc,
             value_op_pcs,
-            cond_branch_pcs: self.cond_branch_pcs,
+            cond_branch_pcs: self.cond_branch_pcs.clone(),
             n_events: self.n_events,
         }
     }

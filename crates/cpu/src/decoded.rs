@@ -3,10 +3,12 @@
 //! The per-commit interpreter pays, for every dynamic instruction, a
 //! `TraceEvent` construction, a fresh dependence analysis
 //! ([`crate::timing::deps`]) and a full [`TimingModel::charge_event`].
-//! For observation-free runs (`CommitHook::PER_COMMIT == false`, e.g.
-//! the scalar baselines behind the differential oracle and every grid
-//! warm-up) none of that per-step work is observable — only the final
-//! architectural state, cycles and statistics are. [`DecodedProgram`]
+//! Whenever the attached hook observes at most block terminals
+//! (`CommitHook::interest` is `Terminals` or `Nothing`: the scalar
+//! baselines, and the DSA while it probes for loops or executes a
+//! plain covered loop) none of that per-step work is observable — only
+//! the final architectural state, cycles and statistics are, plus the
+//! terminal's event. [`DecodedProgram`]
 //! hoists the per-instruction analysis to decode time, once per program:
 //!
 //! * operands are flattened ([`FastOp`]) — immediates pre-sign-extended,

@@ -2,19 +2,19 @@
 
 use std::sync::Arc;
 
-use dsa_isa::Program;
+use dsa_isa::{Instr, Program};
 use dsa_mem::MemoryStats;
 
 use crate::config::CpuConfig;
 use crate::decoded::{decode_cached, DecodedProgram};
 use crate::machine::{Machine, SimError};
 use crate::timing::{InjectedOp, TimingModel, TimingStats};
-use crate::trace::TraceEvent;
+use crate::trace::{BranchOutcome, TraceEvent};
 
-/// Control surface handed to a [`CommitHook`] on every committed
-/// instruction. This is how the DSA "adjusts the timing model": it can
-/// suppress scalar charging of covered iterations, inject vector work
-/// into the Issue stage, and charge pipeline flushes.
+/// Control surface handed to a [`CommitHook`] with every callback. This
+/// is how the DSA "adjusts the timing model": it can suppress scalar
+/// charging of covered iterations, inject vector work into the Issue
+/// stage, and charge pipeline flushes.
 #[derive(Debug)]
 pub struct SimControl<'a> {
     timing: &'a mut TimingModel,
@@ -56,22 +56,40 @@ impl SimControl<'_> {
     }
 }
 
-/// Observer invoked after every committed instruction.
+/// Which committed instructions a [`CommitHook`] needs to observe.
+/// [`Simulator`]'s driver reads it from [`CommitHook::interest`] before
+/// every block, so a hook may change it at any callback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Interest {
+    /// Every commit: the driver steps one instruction at a time and
+    /// calls [`CommitHook::on_commit`] after each.
+    Every,
+    /// Control-flow terminals only. The driver runs whole superblocks
+    /// and calls `on_commit` once per block that ends in a `B`, `Bl` or
+    /// `BxLr`, with that terminal's event (built exactly as
+    /// [`Machine::step_slice`] builds it) and the post-block machine.
+    /// Commits the driver steps anyway (`halt`, fallible vector shapes,
+    /// a budget tail shorter than the next block) are still called back.
+    /// The hook promises that, in its current state, a callback for a
+    /// straight-line (non-control-flow) commit would change nothing —
+    /// neither its own state nor the [`SimControl`] — so skipping those
+    /// callbacks is exact.
+    Terminals,
+    /// Nothing: `on_commit` is not called. The hook promises that any
+    /// callback in its current state would change nothing.
+    Nothing,
+}
+
+/// Observer of the committed instruction stream.
 pub trait CommitHook {
-    /// Whether this hook requires its [`CommitHook::on_commit`] callback
-    /// on every committed instruction.
-    ///
-    /// `true` (the default) keeps the exact per-commit semantics: one
-    /// [`Machine`] step, one [`TimingModel`] charge, one callback per
-    /// instruction. A hook that overrides this to `false` declares it
-    /// observes nothing per commit — `on_commit` is then **never
-    /// called** — and the simulator monomorphizes its driver into the
-    /// superblock fast path, executing straight-line runs (memory ops
-    /// included, terminated by at most one control-flow instruction)
-    /// through the shared [`DecodedProgram`] with batched timing. Final
-    /// architectural state, cycles, and all statistics are bit-identical
-    /// between the two shapes; `on_finish` still fires as usual.
-    const PER_COMMIT: bool = true;
+    /// Which commits this hook needs to see from now on; see
+    /// [`Interest`] for what each answer promises. The default,
+    /// [`Interest::Every`], keeps the exact per-commit semantics. Final
+    /// architectural state, cycles and all statistics are bit-identical
+    /// whichever shape the driver takes, as long as the promise holds.
+    fn interest(&self) -> Interest {
+        Interest::Every
+    }
 
     /// Called with the committed event, the post-commit machine state and
     /// the timing control surface.
@@ -81,62 +99,63 @@ pub trait CommitHook {
     fn on_finish(&mut self, _machine: &Machine) {}
 }
 
-/// A hook that does nothing (plain scalar simulation). Opts out of
-/// per-commit callbacks, so runs with it take the superblock fast path.
+/// A hook that does nothing (plain scalar simulation). Its interest is
+/// [`Interest::Nothing`], so runs with it take the superblock path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullHook;
 
 impl CommitHook for NullHook {
-    const PER_COMMIT: bool = false;
+    fn interest(&self) -> Interest {
+        Interest::Nothing
+    }
 
     fn on_commit(&mut self, _ev: &TraceEvent, _machine: &Machine, _ctl: &mut SimControl<'_>) {}
 }
 
-/// A do-nothing hook that, unlike [`NullHook`], keeps `PER_COMMIT =
-/// true` and therefore forces the classic one-instruction-at-a-time
-/// interpreter. Exists so equivalence tests and benchmarks can pin the
-/// stepped path and compare it against the fast path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepNull;
+/// Pins any hook to [`Interest::Every`]: the classic
+/// one-instruction-at-a-time interpreter with a callback per commit.
+/// The reference that equivalence tests and benchmarks compare the
+/// superblock path against (`Stepped(NullHook)` is the stepped scalar
+/// run, `Stepped(dsa)` the stepped DSA-attached run).
+#[derive(Debug, Clone, Default)]
+pub struct Stepped<H>(pub H);
 
-impl CommitHook for StepNull {
-    fn on_commit(&mut self, _ev: &TraceEvent, _machine: &Machine, _ctl: &mut SimControl<'_>) {}
-}
-
-/// Dyn-compatible mirror of [`CommitHook`]. The `PER_COMMIT` associated
-/// const makes `CommitHook` itself unusable as a trait object, so
-/// runtime-dispatch callers go through this mirror (blanket-implemented
-/// for every hook) and [`Simulator::run_with_dyn_hook`], which drives it
-/// on the conservative per-commit path.
-pub trait DynCommitHook {
-    /// Per-commit callback; see [`CommitHook::on_commit`].
-    fn on_commit_dyn(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>);
-
-    /// End-of-run callback; see [`CommitHook::on_finish`].
-    fn on_finish_dyn(&mut self, machine: &Machine);
-}
-
-impl<H: CommitHook> DynCommitHook for H {
-    fn on_commit_dyn(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
-        self.on_commit(ev, machine, ctl);
+impl<H: CommitHook> CommitHook for Stepped<H> {
+    fn interest(&self) -> Interest {
+        Interest::Every
     }
 
-    fn on_finish_dyn(&mut self, machine: &Machine) {
-        self.on_finish(machine);
-    }
-}
-
-/// Per-commit adapter wrapping a `&mut dyn DynCommitHook`.
-struct DynAdapter<'a>(&'a mut dyn DynCommitHook);
-
-impl CommitHook for DynAdapter<'_> {
     fn on_commit(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
-        self.0.on_commit_dyn(ev, machine, ctl);
+        self.0.on_commit(ev, machine, ctl);
     }
 
     fn on_finish(&mut self, machine: &Machine) {
-        self.0.on_finish_dyn(machine);
+        self.0.on_finish(machine);
     }
+}
+
+/// The event [`Machine::step_slice`] reports for the control-flow
+/// instruction at `pc`, reconstructed after a superblock ended in it:
+/// `taken` is the conditional outcome `exec_run` recorded and `next_pc`
+/// the machine's PC after the block. `None` when the instruction at
+/// `pc` is not control flow (the block ended before a stepped one).
+fn terminal_event(
+    instrs: &[Instr],
+    pc: u32,
+    taken: Option<bool>,
+    next_pc: u32,
+) -> Option<TraceEvent> {
+    let instr = *instrs.get(pc as usize)?;
+    let branch = match instr {
+        Instr::B { offset, .. } => {
+            BranchOutcome { target: (pc as i64 + offset as i64) as u32, taken: taken? }
+        }
+        // A call's target is where it went; a return's is the link
+        // register it read, which is also where it went.
+        Instr::Bl { .. } | Instr::BxLr => BranchOutcome { target: next_pc, taken: true },
+        _ => return None,
+    };
+    Some(TraceEvent { branch: Some(branch), ..TraceEvent::simple(pc, instr) })
 }
 
 /// Result of a finished simulation.
@@ -186,8 +205,8 @@ pub struct Simulator {
     machine: Machine,
     timing: TimingModel,
     program: Program,
-    /// Shared predecoded form, populated lazily on the first fast-path
-    /// run (via the process-wide [`decode_cached`] store).
+    /// Shared predecoded form, populated lazily on the first run (via
+    /// the process-wide [`decode_cached`] store).
     decoded: Option<Arc<DecodedProgram>>,
     suppress: bool,
     committed: u64,
@@ -213,8 +232,8 @@ impl Simulator {
     }
 
     /// The shared predecoded form of the program, decoding (or fetching
-    /// from the process-wide cache) on first call. Runs with a
-    /// `PER_COMMIT = false` hook do this implicitly.
+    /// from the process-wide cache) on first call. Every run does this
+    /// implicitly.
     pub fn predecode(&mut self) -> Arc<DecodedProgram> {
         match &self.decoded {
             Some(d) => Arc::clone(d),
@@ -272,12 +291,13 @@ impl Simulator {
 
     /// Runs with a commit hook for at most `fuel` committed instructions.
     ///
-    /// Generic over the hook type so the hook's [`CommitHook::PER_COMMIT`]
-    /// choice selects the loop shape at compile time: a per-commit hook
-    /// monomorphizes into the classic step loop with an inlined callback,
-    /// while an observation-free hook (e.g. [`NullHook`]) compiles into
-    /// the superblock fast path. See [`Simulator::drive`] internals for
-    /// the exact contract.
+    /// The hook's [`CommitHook::interest`], read before every block,
+    /// selects the loop shape: per-commit stepping, whole superblocks
+    /// with a callback per control-flow terminal, or whole superblocks
+    /// with no callback. Generic over the hook type so a hook whose
+    /// interest is constant (e.g. [`NullHook`]) compiles into the
+    /// superblock loop alone. See [`Simulator::drive`] internals for the
+    /// exact contract.
     ///
     /// The fuel acts as a step-budget watchdog: a program still running
     /// when it expires (e.g. a loop whose exit condition never fires)
@@ -311,46 +331,53 @@ impl Simulator {
     /// returns). Commits at most `budget` instructions, stopping early on
     /// halt; executor errors propagate before any finish handling.
     ///
-    /// `H::PER_COMMIT` selects the loop shape at monomorphization time:
+    /// Before every block the hook's [`Interest`] selects the shape:
     ///
-    /// * **per-commit** (`true`): the classic loop — one
-    ///   [`Machine::step_slice`], one timing charge, one
-    ///   [`CommitHook::on_commit`] per instruction.
-    /// * **superblock** (`false`): straight-line runs from the shared
-    ///   [`DecodedProgram`] — memory ops included, plus at most one
-    ///   terminal control-flow instruction — execute whole
-    ///   ([`DecodedProgram::exec_run`]) and are charged in one
+    /// * [`Interest::Every`]: one [`Machine::step_slice`], one timing
+    ///   charge, one [`CommitHook::on_commit`] per instruction.
+    /// * [`Interest::Terminals`] and [`Interest::Nothing`]: straight-line
+    ///   runs from the shared [`DecodedProgram`] — memory ops included,
+    ///   plus at most one terminal control-flow instruction — execute
+    ///   whole ([`DecodedProgram::exec_run`]). A block is charged in one
     ///   [`TimingModel::charge_block`] fed the recorded address stream
-    ///   and branch outcome; everything else (`halt`, fallible vector
-    ///   shapes) single-steps. A run is
-    ///   taken only when it fits the remaining budget — never splitting a
-    ///   block across the boundary — so exhaustion still lands on the
-    ///   exact commit count and the machine state at exit is the same
-    ///   architecturally-exact snapshot point the stepped loop produces.
-    ///   Covered (suppressed) commits also single-step, since coverage
-    ///   accounting is per-event.
+    ///   and branch outcome, or, while coverage is on, counted as covered
+    ///   in one [`TimingModel::note_covered`]: nothing inside a block can
+    ///   toggle coverage, because the only callback comes after its last
+    ///   commit. Under `Terminals` that callback gets the block's
+    ///   control-flow terminal. Everything else (`halt`, fallible vector
+    ///   shapes) single-steps, with a callback unless the interest is
+    ///   `Nothing`. A block is taken only when it fits the remaining
+    ///   budget — never splitting a block across the boundary — so
+    ///   exhaustion still lands on the exact commit count and the machine
+    ///   state at exit is the same architecturally-exact snapshot point
+    ///   the stepped loop produces.
     #[inline(always)]
     fn drive<H: CommitHook + ?Sized>(
         &mut self,
         budget: u64,
         hook: &mut H,
     ) -> Result<(), SimError> {
+        let decoded = self.predecode();
         // Borrow the instruction slice once; `machine`/`timing` are
         // disjoint fields, so the hot loop fetches with a single bounds
         // check and no per-step `Program` indirection.
-        let decoded = if H::PER_COMMIT { None } else { Some(self.predecode()) };
         let instrs = self.program.as_slice();
         let mut remaining = budget;
         // Scratch address stream, reused across blocks to avoid
         // per-block allocation.
         let mut mem_addrs: Vec<u32> = Vec::new();
         while !self.machine.is_halted() && remaining > 0 {
-            if let Some(decoded) = &decoded {
-                let pc = self.machine.pc();
-                let n = decoded.run_len(pc);
-                if n > 0 && (n as u64) <= remaining && !self.suppress {
-                    mem_addrs.clear();
-                    let taken = decoded.exec_run(&mut self.machine, pc, n, &mut mem_addrs);
+            let interest = hook.interest();
+            let pc = self.machine.pc();
+            let n = if interest == Interest::Every { 0 } else { decoded.run_len(pc) };
+            // One callback site for both shapes, so the hook's
+            // `on_commit` inlines once into the loop.
+            let ev = if n > 0 && (n as u64) <= remaining {
+                mem_addrs.clear();
+                let taken = decoded.exec_run(&mut self.machine, pc, n, &mut mem_addrs);
+                if self.suppress {
+                    self.timing.note_covered(n as u64);
+                } else {
                     self.timing.charge_block(
                         decoded.run_entries(pc, n),
                         pc,
@@ -358,24 +385,32 @@ impl Simulator {
                         &mem_addrs,
                         taken,
                     );
-                    self.committed += n as u64;
-                    remaining -= n as u64;
+                }
+                self.committed += n as u64;
+                remaining -= n as u64;
+                if interest != Interest::Terminals {
                     continue;
                 }
-            }
-            remaining -= 1;
-            let ev = self.machine.step_slice(instrs)?;
-            self.committed += 1;
-            if self.suppress {
-                self.timing.note_covered(&ev);
+                match terminal_event(instrs, pc.wrapping_add(n - 1), taken, self.machine.pc()) {
+                    Some(ev) => ev,
+                    None => continue,
+                }
             } else {
-                self.timing.charge_event(&ev);
-            }
-            if H::PER_COMMIT {
-                let mut ctl =
-                    SimControl { timing: &mut self.timing, suppress: &mut self.suppress };
-                hook.on_commit(&ev, &self.machine, &mut ctl);
-            }
+                remaining -= 1;
+                let ev = self.machine.step_slice(instrs)?;
+                self.committed += 1;
+                if self.suppress {
+                    self.timing.note_covered(1);
+                } else {
+                    self.timing.charge_event(&ev);
+                }
+                if interest == Interest::Nothing {
+                    continue;
+                }
+                ev
+            };
+            let mut ctl = SimControl { timing: &mut self.timing, suppress: &mut self.suppress };
+            hook.on_commit(&ev, &self.machine, &mut ctl);
         }
         Ok(())
     }
@@ -480,22 +515,6 @@ impl Simulator {
             Err(e) => sink.record(&e.telemetry(cycle)),
         }
         result
-    }
-
-    /// Dynamic-dispatch entry point for callers that only have a
-    /// `&mut dyn DynCommitHook` (used by the dispatch benchmarks as the
-    /// "before" shape). Always drives the conservative per-commit loop —
-    /// a trait object cannot advertise `PER_COMMIT = false`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::run_with_hook`].
-    pub fn run_with_dyn_hook(
-        &mut self,
-        fuel: u64,
-        hook: &mut dyn DynCommitHook,
-    ) -> Result<RunOutcome, SimError> {
-        self.run_with_hook(fuel, &mut DynAdapter(hook))
     }
 
     /// Snapshot of the current outcome.

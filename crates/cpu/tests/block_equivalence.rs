@@ -1,18 +1,41 @@
 //! The acceptance gate for the superblock fast path: for random
 //! programs (scalar + vector, loops, memory traffic), a block-mode run
-//! (`NullHook`, `PER_COMMIT = false`) must be **bit-identical** to a
-//! step-mode run (`StepNull`, the classic per-commit loop) in
+//! (`NullHook`, interest `Nothing`) must be **bit-identical** to a
+//! step-mode run (`Stepped(NullHook)`, the classic per-commit loop) in
 //! architectural digest, cycles, committed count, `TimingStats` and
 //! `MemoryStats` — on clean completion, on fuel exhaustion, and across
-//! pause points that land in the middle of straight-line blocks.
+//! pause points that land in the middle of straight-line blocks. A
+//! synthetic hook that switches its interest and toggles coverage at
+//! random terminals checks the driver's covered-block and terminal-event
+//! handling the same way.
 
 use dsa_cpu::{
-    BoundedOutcome, CpuConfig, DecodedProgram, Machine, NullHook, SimError, Simd, Simulator,
-    StepNull,
+    BoundedOutcome, CommitHook, CpuConfig, DecodedProgram, Interest, Machine, NullHook,
+    SimControl, SimError, Simd, Simulator, Stepped, TraceEvent,
 };
 use dsa_isa::{Asm, Cond, ElemType, Program, Reg, VecOp};
 use dsa_mem::MemoryConfig;
 use proptest::prelude::*;
+
+/// One random straight-line body op (scalar ALU, memory or vector)
+/// chosen by `b`, the `i`-th of its body.
+fn body_op(a: &mut Asm, i: usize, b: u8) {
+    let rd = Reg::new(4 + (b % 6));
+    let q = dsa_isa::QReg::new(2 + (b % 4));
+    match b % 11 {
+        0 => a.add_imm(rd, rd, (b as i16) - 100),
+        1 => a.mul(rd, rd, Reg::new(4 + ((b / 7) % 6))),
+        2 => a.eor(rd, rd, Reg::new(4 + ((b / 3) % 6))),
+        3 => a.ldr(rd, Reg::R2, (i as i16 % 32) * 4),
+        4 => a.str(rd, Reg::R3, (i as i16 % 32) * 4),
+        5 => a.lsr_imm(rd, rd, (b % 15) as i16),
+        6 => a.vop(VecOp::Add, ElemType::I16, q, q, dsa_isa::QReg::Q1),
+        7 => a.vdup(q, rd, ElemType::I32),
+        8 => a.vshr_imm(q, q, (b % 8) + 1, ElemType::I16),
+        9 => a.vaddv(rd, q, ElemType::I16),
+        _ => a.sub(rd, rd, Reg::new(4 + ((b / 5) % 6))),
+    }
+}
 
 /// Random always-terminating loop program mixing scalar ALU, memory,
 /// and vector ops, so fast runs of varying lengths interleave with
@@ -25,26 +48,48 @@ fn program_from(seed: &[u8], trip: u16) -> Program {
     a.vdup_imm(dsa_isa::QReg::Q1, 3, ElemType::I16);
     let top = a.here();
     for (i, &b) in seed.iter().enumerate() {
-        let rd = Reg::new(4 + (b % 6));
-        let q = dsa_isa::QReg::new(2 + (b % 4));
-        match b % 11 {
-            0 => a.add_imm(rd, rd, (b as i16) - 100),
-            1 => a.mul(rd, rd, Reg::new(4 + ((b / 7) % 6))),
-            2 => a.eor(rd, rd, Reg::new(4 + ((b / 3) % 6))),
-            3 => a.ldr(rd, Reg::R2, (i as i16 % 32) * 4),
-            4 => a.str(rd, Reg::R3, (i as i16 % 32) * 4),
-            5 => a.lsr_imm(rd, rd, (b % 15) as i16),
-            6 => a.vop(VecOp::Add, ElemType::I16, q, q, dsa_isa::QReg::Q1),
-            7 => a.vdup(q, rd, ElemType::I32),
-            8 => a.vshr_imm(q, q, (b % 8) + 1, ElemType::I16),
-            9 => a.vaddv(rd, q, ElemType::I16),
-            _ => a.sub(rd, rd, Reg::new(4 + ((b / 5) % 6))),
-        }
+        body_op(&mut a, i, b);
     }
     a.add_imm(Reg::R0, Reg::R0, 1);
     a.cmp_imm(Reg::R0, trip.max(1) as i16);
     a.b_to(Cond::Ne, top);
     a.halt();
+    a.finish()
+}
+
+/// Like [`program_from`], but the loop body also holds a data-dependent
+/// forward branch (an `if`) and a call to a subroutine, so blocks end
+/// in every control-flow terminal: `B` both ways, `Bl` and `BxLr`.
+fn program_with_calls(seed: &[u8], trip: u16) -> Program {
+    let mut a = Asm::new();
+    let func = a.new_label();
+    a.mov_imm(Reg::R0, 0);
+    a.mov_imm(Reg::R2, 0x4000);
+    a.mov_imm(Reg::R3, 0x6000);
+    a.vdup_imm(dsa_isa::QReg::Q1, 3, ElemType::I16);
+    let top = a.here();
+    let (head, tail) = seed.split_at(seed.len() / 2);
+    for (i, &b) in head.iter().enumerate() {
+        body_op(&mut a, i, b);
+    }
+    let skip = a.new_label();
+    a.and_imm(Reg::R10, Reg::R0, 1);
+    a.cmp_imm(Reg::R10, 0);
+    a.b_to(Cond::Eq, skip);
+    for (i, &b) in tail.iter().enumerate() {
+        body_op(&mut a, i, b);
+    }
+    a.bind(skip);
+    a.bl(func);
+    a.add_imm(Reg::R0, Reg::R0, 1);
+    a.cmp_imm(Reg::R0, trip.max(1) as i16);
+    a.b_to(Cond::Ne, top);
+    a.halt();
+    a.bind(func);
+    for (i, &b) in seed.iter().rev().take(5).enumerate() {
+        body_op(&mut a, i, b);
+    }
+    a.bx_lr();
     a.finish()
 }
 
@@ -91,7 +136,7 @@ proptest! {
     ) {
         let p = program_from(&seed, trip);
         let mut step = sim_for(&p);
-        let step_out = step.run_with_hook(5_000_000, &mut StepNull);
+        let step_out = step.run_with_hook(5_000_000, &mut Stepped(NullHook));
         let mut block = sim_for(&p);
         let block_out = block.run_with_hook(5_000_000, &mut NullHook);
         prop_assert!(step_out.is_ok());
@@ -109,7 +154,7 @@ proptest! {
         // Never-halting loop: trip count far above what fuel allows.
         let p = program_from(&seed, 10_000);
         let mut step = sim_for(&p);
-        let step_out = step.run_with_hook(fuel, &mut StepNull);
+        let step_out = step.run_with_hook(fuel, &mut Stepped(NullHook));
         let mut block = sim_for(&p);
         let block_out = block.run_with_hook(fuel, &mut NullHook);
         prop_assert!(step_out.is_err());
@@ -131,7 +176,7 @@ proptest! {
     ) {
         let p = program_from(&seed, trip);
         let mut reference = sim_for(&p);
-        reference.run_with_hook(5_000_000, &mut StepNull).expect("terminates");
+        reference.run_with_hook(5_000_000, &mut Stepped(NullHook)).expect("terminates");
 
         let mut first = sim_for(&p);
         match first.run_bounded(split, &mut NullHook).expect("no exec error") {
@@ -200,7 +245,7 @@ proptest! {
     ) {
         let p = program_from(&seed, trip);
         let mut reference = sim_for_backend(&p, Simd::portable());
-        let ref_out = reference.run_with_hook(5_000_000, &mut StepNull);
+        let ref_out = reference.run_with_hook(5_000_000, &mut Stepped(NullHook));
         prop_assert!(ref_out.is_ok());
         let ref_out = ref_out.expect("checked");
         for &be in Simd::available() {
@@ -238,7 +283,7 @@ fn invalid_vshr_fails_identically_in_both_modes() {
     a.halt();
     let p = a.finish();
     let mut step = sim_for(&p);
-    let step_out = step.run_with_hook(1_000, &mut StepNull);
+    let step_out = step.run_with_hook(1_000, &mut Stepped(NullHook));
     let mut block = sim_for(&p);
     let block_out = block.run_with_hook(1_000, &mut NullHook);
     assert!(step_out.is_err());
@@ -267,7 +312,7 @@ fn icache_stats_identical_across_line_boundaries() {
     let p = a.finish();
 
     let mut step = sim_for(&p);
-    let s = step.run_with_hook(1_000_000, &mut StepNull).expect("ok");
+    let s = step.run_with_hook(1_000_000, &mut Stepped(NullHook)).expect("ok");
     let mut block = sim_for(&p);
     let b = block.run_with_hook(1_000_000, &mut NullHook).expect("ok");
     assert_eq!(s.mem.l1i, b.mem.l1i, "L1I stats");
@@ -289,9 +334,116 @@ fn equivalence_holds_with_small_icache_lines() {
         ..CpuConfig::default()
     };
     let mut step = Simulator::new(p.clone(), config);
-    let s = step.run_with_hook(1_000_000, &mut StepNull).expect("ok");
+    let s = step.run_with_hook(1_000_000, &mut Stepped(NullHook)).expect("ok");
     let mut block = Simulator::new(p, config);
     let b = block.run_with_hook(1_000_000, &mut NullHook).expect("ok");
     assert_eq!(s, b);
     assert_eq!(step.machine().arch_digest(), block.machine().arch_digest());
+}
+
+/// A hook whose every state change happens at a control-flow commit: at
+/// each one it draws its next interest and a coverage action (begin,
+/// end, a stall or nothing) from a seeded stream, and logs what it saw.
+/// It keeps the [`Interest`] contract — it ignores straight-line
+/// commits, and every commit while its interest is `Nothing` — so the
+/// driver must reproduce the stepped run bit for bit, whatever shapes
+/// the draws select.
+struct Switcher {
+    rng: u64,
+    interest: Interest,
+    /// `(event, cycles, next pc, coverage)` at every acted-on commit.
+    log: Vec<(TraceEvent, u64, u32, bool)>,
+}
+
+impl Switcher {
+    fn new(seed: u64) -> Switcher {
+        Switcher { rng: seed, interest: Interest::Terminals, log: Vec::new() }
+    }
+}
+
+impl CommitHook for Switcher {
+    fn interest(&self) -> Interest {
+        self.interest
+    }
+
+    fn on_commit(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
+        if self.interest == Interest::Nothing || ev.branch.is_none() {
+            return;
+        }
+        self.log.push((*ev, ctl.cycles(), machine.pc(), ctl.coverage_active()));
+        // splitmix64
+        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let r = z ^ (z >> 31);
+        self.interest = match r % 8 {
+            0..=2 => Interest::Every,
+            3..=6 => Interest::Terminals,
+            _ => Interest::Nothing,
+        };
+        match (r >> 8) % 4 {
+            0 => ctl.begin_coverage(),
+            1 => ctl.end_coverage(),
+            2 => ctl.stall((r >> 16) % 5),
+            _ => {}
+        }
+    }
+}
+
+/// Everything a sliced run must reproduce.
+#[derive(Debug, PartialEq)]
+struct SlicedRun {
+    /// Per slice: committed, cycles, timing stats, arch digest.
+    slices: Vec<(u64, u64, dsa_cpu::TimingStats, u64)>,
+    outcome: dsa_cpu::RunOutcome,
+    digest: u64,
+    log: Vec<(TraceEvent, u64, u32, bool)>,
+}
+
+/// Runs `p` in `run_bounded` slices of the given sizes, then to the
+/// end. Between slices the hook is re-armed to `Terminals` (a hook that
+/// chose `Nothing` gets no further callback within a slice).
+fn run_sliced<H: CommitHook>(
+    p: &Program,
+    hook: &mut H,
+    switcher: fn(&mut H) -> &mut Switcher,
+    slices: &[u64],
+) -> SlicedRun {
+    let mut sim = sim_for(p);
+    let mut out = Vec::new();
+    for &n in slices {
+        if let BoundedOutcome::Halted(_) = sim.run_bounded(n, hook).expect("no exec error") {
+            break;
+        }
+        let o = sim.outcome();
+        out.push((o.committed, o.cycles, o.timing, sim.machine().arch_digest()));
+        switcher(hook).interest = Interest::Terminals;
+    }
+    let outcome = sim.run_with_hook(5_000_000, hook).expect("terminates");
+    let digest = sim.machine().arch_digest();
+    SlicedRun { slices: out, outcome, digest, log: std::mem::take(&mut switcher(hook).log) }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The driver's covered-block and terminal-event handling, without
+    /// the DSA: a hook that switches its interest and toggles coverage
+    /// at random terminals sees the same events, cycles and coverage as
+    /// when it is stepped through every commit, and the run ends in the
+    /// same state — across pauses that land mid-block.
+    #[test]
+    fn switching_hook_is_bit_identical_to_stepping(
+        seed in prop::collection::vec(any::<u8>(), 2..40),
+        trip in 1u16..40,
+        hook_seed in any::<u64>(),
+        slices in prop::collection::vec(1u64..400, 0..6),
+    ) {
+        let p = program_with_calls(&seed, trip);
+        let stepped = run_sliced(&p, &mut Stepped(Switcher::new(hook_seed)), |h| &mut h.0, &slices);
+        let block = run_sliced(&p, &mut Switcher::new(hook_seed), |h| h, &slices);
+        prop_assert!(!stepped.log.is_empty(), "the hook saw terminals");
+        prop_assert_eq!(stepped, block);
+    }
 }

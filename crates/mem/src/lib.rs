@@ -28,5 +28,5 @@ mod memory;
 mod system;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Lookup};
-pub use memory::{MainMemory, PAGE_BYTES};
+pub use memory::{MainMemory, U32Hasher, U32Map, PAGE_BYTES};
 pub use system::{MemoryConfig, MemorySystem, MemoryStats};

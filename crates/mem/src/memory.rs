@@ -10,14 +10,17 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// and [`MainMemory::load_page`] (snapshot capture/restore).
 pub const PAGE_BYTES: usize = PAGE_SIZE;
 
-/// Multiplicative (Fibonacci) hasher for page numbers. Page keys are
-/// small, attacker-free integers, and every simulated memory access pays
-/// one lookup — SipHash would dominate the cost of the functional
-/// executor's loads and stores.
+/// Multiplicative (Fibonacci) hasher for small, attacker-free integer
+/// keys: page numbers here (every simulated memory access pays one
+/// lookup — SipHash would dominate the cost of the functional
+/// executor's loads and stores) and loop IDs in the DSA cache.
 #[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
+pub struct U32Hasher(u64);
 
-impl Hasher for PageHasher {
+/// A `HashMap` keyed by `u32` through [`U32Hasher`].
+pub type U32Map<V> = HashMap<u32, V, BuildHasherDefault<U32Hasher>>;
+
+impl Hasher for U32Hasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -36,7 +39,7 @@ impl Hasher for PageHasher {
     }
 }
 
-type PageMap = HashMap<u32, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
+type PageMap = U32Map<Box<[u8; PAGE_SIZE]>>;
 
 /// Byte-addressable main memory with a 32-bit address space, allocated
 /// lazily in 4 KB pages. All multi-byte accesses are little-endian and may
